@@ -10,7 +10,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"fastrl/internal/coordinator"
@@ -251,15 +254,44 @@ func (s *System) WarmUpDrafter(prompts, epochs int) {
 		return
 	}
 	rng := rand.New(rand.NewSource(s.Cfg.Seed ^ 0xbeef))
-	var examples []*draft.Example
+	var seqs []model.Context
 	for _, task := range s.Tasks.SampleSeeded(prompts, s.Cfg.Seed^0xbeef) {
 		seq := model.Generate(s.Target, task.Prompt, nil, s.Cfg.RL.Temp, 64, s.Tk.Eos(), rng)
-		examples = append(examples,
-			draft.HarvestExamples(s.Target, model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, true)...)
+		seqs = append(seqs, model.Context{Tokens: seq, PromptLen: len(task.Prompt)})
+	}
+	var examples []*draft.Example
+	for _, exs := range harvest(s.Target, seqs) {
+		examples = append(examples, exs...)
 	}
 	for e := 0; e < epochs; e++ {
 		s.Eagle.Train(examples, nil, rng)
 	}
+}
+
+// harvest computes the drafter training examples of every sequence, fanned
+// across GOMAXPROCS goroutines that claim sequences by index and write
+// only their own slot, so the result is the same at any parallelism. The
+// target must not be updated until harvest returns.
+func harvest(target *model.LM, seqs []model.Context) [][]*draft.Example {
+	out := make([][]*draft.Example, len(seqs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), len(seqs))
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(seqs) {
+					return
+				}
+				out[i] = draft.HarvestExamples(target, seqs[i], true)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // StepStats records one RL step's timing and learning metrics.
@@ -319,14 +351,18 @@ func (s *System) Step() (StepStats, error) {
 	s.Clock.Advance(stats.Inference)
 
 	// TLT: harvest drafter training data from the inference prefill (the
-	// hidden states are produced here anyway; the paper caches them).
+	// hidden states are produced here anyway; the paper caches them). The
+	// policy is read-only until ApplyUpdates, so the responses are
+	// harvested in parallel and added to the buffer in response order.
 	if s.Cfg.Kind == TLT && !s.Cfg.DisableSpot {
+		var seqs []model.Context
 		for _, g := range groups {
 			for _, r := range g {
-				exs := draft.HarvestExamples(s.Target,
-					model.Context{Tokens: r.Full, PromptLen: r.PromptLen}, true)
-				s.Buffer.Add(spot.Sequence{Examples: exs})
+				seqs = append(seqs, model.Context{Tokens: r.Full, PromptLen: r.PromptLen})
 			}
+		}
+		for _, exs := range harvest(s.Target, seqs) {
+			s.Buffer.Add(spot.Sequence{Examples: exs})
 		}
 	}
 

@@ -1,11 +1,18 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"fastrl/internal/gpu"
+	"fastrl/internal/spot"
 )
 
 // smallConfig returns a fast test configuration.
@@ -298,6 +305,66 @@ func TestStepDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same-seed systems diverge: %v vs %v", a, b)
+	}
+}
+
+// TestHarvestParallelismInvariant: the parallel drafter-data harvest must
+// leave every step's statistics, the drafter weights and the spot buffer's
+// sequences identical whether it runs on one goroutine or four.
+func TestHarvestParallelismInvariant(t *testing.T) {
+	type result struct {
+		sums    []uint64
+		weights []float32
+		sampled []spot.Sequence
+	}
+	run := func(procs int) result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		sys, err := New(smallConfig(TLT))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.WarmUpDrafter(10, 1)
+		var r result
+		for i := 0; i < 3; i++ {
+			st, err := sys.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%v", st)
+			r.sums = append(r.sums, h.Sum64())
+		}
+		r.weights = sys.Eagle.Table().Weights()
+		// The step barrier moved the last step's sequences to the previous
+		// side. Sampling picks them by index, so with a large budget a
+		// reordered buffer yields a different sample.
+		r.sampled = sys.Buffer.SampleBatch(1<<16, rand.New(rand.NewSource(5)))
+		return r
+	}
+	one, four := run(1), run(4)
+	for i := range one.sums {
+		if one.sums[i] != four.sums[i] {
+			t.Fatalf("step %d stats checksum differs: %x at GOMAXPROCS=1, %x at 4", i+1, one.sums[i], four.sums[i])
+		}
+	}
+	for i, w := range one.weights {
+		if math.Float32bits(w) != math.Float32bits(four.weights[i]) {
+			t.Fatalf("drafter weight %d differs: %g vs %g", i, w, four.weights[i])
+		}
+	}
+	if len(one.sampled) == 0 || len(one.sampled) != len(four.sampled) {
+		t.Fatalf("sampled %d vs %d buffer sequences", len(one.sampled), len(four.sampled))
+	}
+	for i := range one.sampled {
+		a, b := one.sampled[i].Examples, four.sampled[i].Examples
+		if len(a) != len(b) {
+			t.Fatalf("sequence %d: %d vs %d examples", i, len(a), len(b))
+		}
+		for j := range a {
+			if !reflect.DeepEqual(a[j], b[j]) {
+				t.Fatalf("sequence %d example %d differs", i, j)
+			}
+		}
 	}
 }
 

@@ -247,6 +247,9 @@ func (e *Eagle) Train(examples []*Example, target *model.LM, rng *rand.Rand) Tra
 	if len(examples) == 0 {
 		return stats
 	}
+	// Accumulate overwrites logits, so one buffer serves every example and
+	// unrolled step.
+	logits := make([]float32, e.cfg.Vocab)
 	q := make([]float32, e.cfg.Vocab)
 	grad := make([]float32, e.cfg.Vocab)
 	var featBuf [80]int
@@ -257,7 +260,6 @@ func (e *Eagle) Train(examples []*Example, target *model.LM, rng *rand.Rand) Tra
 			hid = &model.HiddenState{Sketch: hid.Sketch}
 		}
 		feats := e.features(ex.Tokens, ex.PromptLen, hid, featBuf[:0])
-		logits := make([]float32, e.cfg.Vocab)
 		e.table.Accumulate(feats, logits)
 		model.Softmax(logits, 1, q)
 		stats.ForwardPasses++
@@ -266,7 +268,7 @@ func (e *Eagle) Train(examples []*Example, target *model.LM, rng *rand.Rand) Tra
 		e.applyGrad(feats, q, grad, ex)
 
 		if e.cfg.UnrollSteps > 1 && target != nil {
-			e.unroll(ex, target, q, grad, rng, &stats)
+			e.unroll(ex, target, logits, q, grad, rng, &stats)
 		}
 	}
 	e.Version++
@@ -295,7 +297,7 @@ func (e *Eagle) applyGrad(feats []int, q []float32, grad []float32, ex *Example)
 // stale root hidden), supervised by the target model's distribution at
 // each unrolled position. This teaches the drafter to stay aligned at
 // deeper draft indices, at the cost of extra target forward passes.
-func (e *Eagle) unroll(ex *Example, target *model.LM, q, grad []float32, rng *rand.Rand, stats *TrainStats) {
+func (e *Eagle) unroll(ex *Example, target *model.LM, logits, q, grad []float32, rng *rand.Rand, stats *TrainStats) {
 	ctxLen := len(ex.Tokens)
 	extended := make([]int, ctxLen, ctxLen+e.cfg.UnrollSteps)
 	copy(extended, ex.Tokens)
@@ -305,7 +307,6 @@ func (e *Eagle) unroll(ex *Example, target *model.LM, q, grad []float32, rng *ra
 	unrollHidden := &model.HiddenState{Sketch: ex.Hidden.Sketch}
 	for step := 1; step < e.cfg.UnrollSteps; step++ {
 		feats := e.features(extended, ex.PromptLen, unrollHidden, featBuf[:0])
-		logits := make([]float32, e.cfg.Vocab)
 		e.table.Accumulate(feats, logits)
 		model.Softmax(logits, 1, q)
 		stats.ForwardPasses++

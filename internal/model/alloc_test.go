@@ -95,6 +95,62 @@ func TestProbsBatchMatchesProbs(t *testing.T) {
 	}
 }
 
+// TestHiddenProbsMatchesSeparateCalls: the single-accumulation
+// HiddenProbsScratch and the FusedHiddenInto built on it must emit exactly
+// the float32 values of separate Hidden and unbiased temperature-1 Probs
+// calls, including contexts too short for every fused sketch.
+func TestHiddenProbsMatchesSeparateCalls(t *testing.T) {
+	m := newAllocLM(t)
+	rng := rand.New(rand.NewSource(11))
+	vocab := m.Config().Vocab
+	sc := NewScratch()
+	hidden, probs := make([]float32, HiddenDim), make([]float32, vocab)
+	wantHidden, wantProbs := make([]float32, HiddenDim), make([]float32, vocab)
+	var fused HiddenState
+	for trial := 0; trial < 60; trial++ {
+		toks := make([]int, rng.Intn(12))
+		for j := range toks {
+			toks[j] = rng.Intn(vocab)
+		}
+		ctx := Context{Tokens: toks, PromptLen: rng.Intn(len(toks) + 1)}
+		m.HiddenProbsScratch(ctx, hidden, probs, sc)
+		m.Hidden(ctx, wantHidden)
+		m.Probs(ctx, nil, 1, wantProbs)
+		sameBits(t, "hidden", hidden, wantHidden)
+		sameBits(t, "probs", probs, wantProbs)
+
+		sketches := 1 + trial%3
+		FusedHiddenInto(m, ctx, sketches, &fused, sc)
+		want := make([]float32, sketches*HiddenDim)
+		for s := 0; s < sketches && s <= len(toks); s++ {
+			sub := Context{Tokens: toks[:len(toks)-s], PromptLen: ctx.PromptLen}
+			m.Hidden(sub, want[s*HiddenDim:(s+1)*HiddenDim])
+		}
+		sameBits(t, "fused sketch", fused.Sketch, want)
+		top := TopK(wantProbs, NumRankTokens)
+		if len(fused.TopTokens) != len(top) {
+			t.Fatalf("trial %d: top tokens %v, want %v", trial, fused.TopTokens, top)
+		}
+		for i := range top {
+			if fused.TopTokens[i] != top[i] {
+				t.Fatalf("trial %d: top tokens %v, want %v", trial, fused.TopTokens, top)
+			}
+		}
+	}
+}
+
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %g, want %g", what, i, got[i], want[i])
+		}
+	}
+}
+
 // TestTopKIntoMatchesReference pins TopKInto's ordering (values
 // descending, ties by ascending index) against the straightforward
 // k-pass reference the codebase previously used.

@@ -55,8 +55,8 @@ func (s *Scratch) sortedBiasIDs(bias map[int]float32) []int {
 }
 
 // scratchPool backs the scratch-free convenience wrappers (Probs, Hidden,
-// FusedHidden) so concurrent callers without an engine-owned scratch stay
-// allocation-free in steady state.
+// and ProbsBatch with a nil scratch) so concurrent callers without an
+// engine-owned scratch stay allocation-free in steady state.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // scoreInto computes one next-token distribution: hashed features with the
@@ -208,10 +208,35 @@ func (m *LM) HiddenScratch(ctx Context, dst []float32, sc *Scratch) {
 	if len(dst) != HiddenDim {
 		panic("model: hidden buffer has wrong length")
 	}
+	m.project(m.accumulate(ctx, sc), dst)
+}
+
+// HiddenProbsScratch computes, from one table accumulation, both the
+// hidden-state sketch of ctx (as HiddenScratch) and its unbiased
+// temperature-1 next-token distribution (as ProbsScratch with a nil
+// bias). Softmax leaves the logits untouched, so both outputs are
+// bit-identical to the two separate calls at half the accumulation cost.
+func (m *LM) HiddenProbsScratch(ctx Context, hidden, probs []float32, sc *Scratch) {
+	if len(hidden) != HiddenDim {
+		panic("model: hidden buffer has wrong length")
+	}
+	logits := m.accumulate(ctx, sc)
+	m.project(logits, hidden)
+	Softmax(logits, 1, probs)
+}
+
+// accumulate computes the unbiased logits of ctx into the scratch logits
+// buffer and returns it.
+func (m *LM) accumulate(ctx Context, sc *Scratch) []float32 {
 	logits := sc.Logits(m.cfg.Vocab)
 	var featBuf [maxFeatures]int
-	feats := m.featuresHashed(ctx.Tokens, ctx.PromptHash(), featBuf[:0])
-	m.table.Accumulate(feats, logits)
+	m.table.Accumulate(m.featuresHashed(ctx.Tokens, ctx.PromptHash(), featBuf[:0]), logits)
+	return logits
+}
+
+// project writes the hidden sketch of a logits row into dst: the fixed
+// random projection of the logits, squashed through tanh.
+func (m *LM) project(logits, dst []float32) {
 	for d := 0; d < HiddenDim; d++ {
 		row := m.proj[d][:len(logits)]
 		// Four accumulator lanes break the dependent-FMA chain of the
