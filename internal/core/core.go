@@ -269,29 +269,45 @@ func (s *System) WarmUpDrafter(prompts, epochs int) {
 }
 
 // harvest computes the drafter training examples of every sequence, fanned
-// across GOMAXPROCS goroutines that claim sequences by index and write
-// only their own slot, so the result is the same at any parallelism. The
-// target must not be updated until harvest returns.
+// across GOMAXPROCS goroutines that write only their own slot, so the
+// result is the same at any parallelism. The target must not be updated
+// until harvest returns.
 func harvest(target *model.LM, seqs []model.Context) [][]*draft.Example {
 	out := make([][]*draft.Example, len(seqs))
+	parallel(len(seqs), runtime.GOMAXPROCS(0), func(i int) {
+		out[i] = draft.HarvestExamples(target, seqs[i], true)
+	})
+	return out
+}
+
+// parallel calls f(i) for every i in [0, n) on up to width goroutines that
+// claim indices in ascending order. With width 1 it runs f in index order
+// on the caller's goroutine. f must touch only state owned by index i or
+// read-only to all of them.
+func parallel(n, width int, f func(i int)) {
+	width = min(width, n)
+	if width <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	workers := min(runtime.GOMAXPROCS(0), len(seqs))
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(width)
+	for w := 0; w < width; w++ {
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(seqs) {
+				if i >= n {
 					return
 				}
-				out[i] = draft.HarvestExamples(target, seqs[i], true)
+				f(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // StepStats records one RL step's timing and learning metrics.
@@ -329,6 +345,24 @@ type StepStats struct {
 }
 
 // Step advances one full RL step.
+//
+// Concurrency contract. The rollout workers decode in parallel (see
+// runRollout). Once the rollout barrier is known, TLT's spot training runs
+// on its own goroutine while this goroutine runs the inference stage
+// (ScoreGroups, ComputeAdvantages and the drafter-data harvest); the two
+// join before Buffer.Add and ApplyUpdates. That overlap is safe because
+// the two sides share nothing mutable:
+//   - Spot training writes only the drafter and the coordinator. It reads
+//     the target (unrolled variants) and samples only the buffer's
+//     previous side, because the current side stays empty until the
+//     harvest is added after the join.
+//   - The inference stage writes only this step's rollouts and reads the
+//     target.
+//
+// The join must precede Buffer.Add, because a non-empty current side
+// changes what SampleBatch draws, and ApplyUpdates, because HASS and
+// Eagle-3 unroll against the target. Every output is therefore the same
+// as a serial step's at any GOMAXPROCS.
 func (s *System) Step() (StepStats, error) {
 	s.step++
 	stats := StepStats{Step: s.step}
@@ -338,9 +372,25 @@ func (s *System) Step() (StepStats, error) {
 	// kind sees the identical tasks and length priors, so throughput
 	// comparisons are workload-controlled.
 	tasks := s.Tasks.SampleSeeded(s.Cfg.RL.PromptsPerStep, s.Cfg.Seed^int64(s.step)*2654435761)
-	groups, err := s.runRollout(tasks, &stats)
+	groups, order, idle, err := s.runRollout(tasks, &stats)
 	if err != nil {
 		return stats, err
+	}
+
+	// TLT: spot-train the drafter on workers as they went idle, overlapped
+	// with the inference stage below.
+	var (
+		spotWG      sync.WaitGroup
+		spotBatches int
+		spotUsed    time.Duration
+	)
+	if s.Cfg.Kind == TLT && !s.Cfg.DisableSpot && s.step%s.Cfg.DrafterTrainEvery == 0 {
+		finishes, rolloutEnd := stats.WorkerFinish, stats.Rollout
+		spotWG.Add(1)
+		go func() {
+			defer spotWG.Done()
+			spotBatches, spotUsed = s.runSpotTraining(order, finishes, rolloutEnd)
+		}()
 	}
 
 	// ---- Inference stage: prefill responses through policy + reference.
@@ -353,7 +403,8 @@ func (s *System) Step() (StepStats, error) {
 	// TLT: harvest drafter training data from the inference prefill (the
 	// hidden states are produced here anyway; the paper caches them). The
 	// policy is read-only until ApplyUpdates, so the responses are
-	// harvested in parallel and added to the buffer in response order.
+	// harvested in parallel.
+	var harvested [][]*draft.Example
 	if s.Cfg.Kind == TLT && !s.Cfg.DisableSpot {
 		var seqs []model.Context
 		for _, g := range groups {
@@ -361,9 +412,18 @@ func (s *System) Step() (StepStats, error) {
 				seqs = append(seqs, model.Context{Tokens: r.Full, PromptLen: r.PromptLen})
 			}
 		}
-		for _, exs := range harvest(s.Target, seqs) {
-			s.Buffer.Add(spot.Sequence{Examples: exs})
-		}
+		harvested = harvest(s.Target, seqs)
+	}
+
+	// Join spot training, then account the idle time it consumed.
+	spotWG.Wait()
+	stats.SpotBatches = spotBatches
+	stats.SpotTime = spotUsed
+	stats.IdleTime = max(idle-spotUsed, 0)
+
+	// The harvest enters the buffer in response order.
+	for _, exs := range harvested {
+		s.Buffer.Add(spot.Sequence{Examples: exs})
 	}
 
 	// ---- Training stage: policy update (data parallel over workers).
@@ -406,9 +466,19 @@ func (s *System) Step() (StepStats, error) {
 	return stats, nil
 }
 
-// runRollout executes the rollout stage across workers and, for TLT,
-// drafter spot training on workers as they go idle.
-func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Rollout, error) {
+// runRollout executes the rollout stage across workers. It returns the
+// rollout groups, the workers in finish order, and the worker idle time
+// before any spot training.
+//
+// The workers decode in parallel, up to GOMAXPROCS at a time. Each has its
+// own engine, clock, timeline, requests and RNG, and the target and a
+// learned drafter are read-only during rollout, so per-worker results do
+// not depend on the schedule; they are folded in worker order after the
+// join. A drafter that learns online (draft.Observer, the TLT-Base n-gram
+// drafter) is the exception: it is shared by all workers and worker w
+// drafts from what workers before it indexed, so such workers run one at
+// a time in worker order.
+func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Rollout, []int, time.Duration, error) {
 	W := s.Cfg.Cluster.Workers()
 	rolloutWorkers := W
 	if s.Cfg.Kind == OpenR1 {
@@ -445,16 +515,31 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 	}
 
 	// Run each worker's engine; collect finish times and stats.
+	width := runtime.GOMAXPROCS(0)
+	if _, ok := s.drafter().(draft.Observer); ok {
+		width = 1
+	}
+	runs := make([]rollout.Stats, rolloutWorkers)
+	errs := make([]error, rolloutWorkers)
+	parallel(rolloutWorkers, width, func(w int) {
+		eng, err := s.newEngine(w)
+		if err != nil {
+			errs[w] = err
+			return
+		}
+		defer eng.Close()
+		wrng := rand.New(rand.NewSource(s.Cfg.Seed ^ int64(s.step)<<20 ^ int64(w)))
+		runs[w] = eng.Run(perWorker[w], wrng)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, 0, err
+		}
+	}
 	finishes := make([]time.Duration, rolloutWorkers)
 	var acceptSum float64
 	var acceptN int
-	for w := 0; w < rolloutWorkers; w++ {
-		eng, err := s.newEngine(w)
-		if err != nil {
-			return nil, err
-		}
-		wrng := rand.New(rand.NewSource(s.Cfg.Seed ^ int64(s.step)<<20 ^ int64(w)))
-		rs := eng.Run(perWorker[w], wrng)
+	for w, rs := range runs {
 		finishes[w] = rs.Elapsed
 		stats.Profiles = append(stats.Profiles, rs.Profile)
 		if rs.AcceptRounds > 0 {
@@ -465,7 +550,7 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 	if acceptN > 0 {
 		stats.AcceptLen = acceptSum / float64(acceptN)
 	}
-	stats.WorkerFinish = append([]time.Duration(nil), finishes...)
+	stats.WorkerFinish = finishes
 
 	rolloutEnd := time.Duration(0)
 	for _, f := range finishes {
@@ -476,7 +561,7 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 	stats.Rollout = rolloutEnd
 	s.Clock.Advance(rolloutEnd)
 
-	// Idle accounting + spot training in the tail.
+	// Idle accounting: workers wait at the barrier for the tail.
 	order := make([]int, rolloutWorkers)
 	for i := range order {
 		order[i] = i
@@ -491,14 +576,6 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 		idle += time.Duration(W-rolloutWorkers) * rolloutEnd
 	}
 
-	if s.Cfg.Kind == TLT && !s.Cfg.DisableSpot && s.step%s.Cfg.DrafterTrainEvery == 0 {
-		idle -= s.runSpotTraining(order, finishes, rolloutEnd, stats)
-	}
-	if idle < 0 {
-		idle = 0
-	}
-	stats.IdleTime = idle
-
 	// Reassemble groups.
 	groups := make([][]*rl.Rollout, len(tasks))
 	for _, sl := range slots {
@@ -510,14 +587,15 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 			PromptLen: len(sl.req.Prompt),
 		})
 	}
-	return groups, nil
+	return groups, order, idle, nil
 }
 
 // runSpotTraining drives the coordinator over worker-idle events and
-// spends the granted windows on drafter training. Returns the idle time
-// consumed.
-func (s *System) runSpotTraining(order []int, finishes []time.Duration, rolloutEnd time.Duration, stats *StepStats) time.Duration {
-	var used time.Duration
+// spends the granted windows on drafter training. It returns the batches
+// trained and the GPU time they used, which is also the idle time they
+// consumed. It writes only the drafter and the coordinator, so it can run
+// alongside the inference stage (see Step).
+func (s *System) runSpotTraining(order []int, finishes []time.Duration, rolloutEnd time.Duration) (batches int, used time.Duration) {
 	trainRng := rand.New(rand.NewSource(s.Cfg.Seed ^ int64(s.step)*7919))
 	for _, w := range order {
 		if finishes[w] >= rolloutEnd {
@@ -534,15 +612,14 @@ func (s *System) runSpotTraining(order []int, finishes []time.Duration, rolloutE
 					continue
 				}
 				ws := s.Spot.RunWindow(window, trainRng)
-				stats.SpotBatches += ws.Batches
-				stats.SpotTime += ws.Used
+				batches += ws.Batches
 				used += ws.Used
 			}
 		}
 	}
 	// The rollout barrier preempts any ongoing session.
 	s.Coord.RolloutComplete(rolloutEnd)
-	return used
+	return batches, used
 }
 
 // newEngine builds the per-worker rollout engine for the system kind.

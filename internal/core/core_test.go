@@ -308,18 +308,21 @@ func TestStepDeterminism(t *testing.T) {
 	}
 }
 
-// TestHarvestParallelismInvariant: the parallel drafter-data harvest must
-// leave every step's statistics, the drafter weights and the spot buffer's
-// sequences identical whether it runs on one goroutine or four.
-func TestHarvestParallelismInvariant(t *testing.T) {
+// TestStepParallelismInvariant: the parallel rollout workers, the spot
+// training overlapped with the inference stage and the parallel harvest
+// must leave every step's statistics (profiles, worker finishes, spot and
+// idle time) and the drafter state identical whether the step runs on one
+// goroutine or four, for every system kind.
+func TestStepParallelismInvariant(t *testing.T) {
 	type result struct {
-		sums    []uint64
-		weights []float32
-		sampled []spot.Sequence
+		sums      []uint64
+		weights   []float32
+		sampled   []spot.Sequence
+		ngramSize int
 	}
-	run := func(procs int) result {
+	run := func(kind Kind, procs int) result {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		sys, err := New(smallConfig(TLT))
+		sys, err := New(smallConfig(kind))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,37 +337,89 @@ func TestHarvestParallelismInvariant(t *testing.T) {
 			fmt.Fprintf(h, "%v", st)
 			r.sums = append(r.sums, h.Sum64())
 		}
-		r.weights = sys.Eagle.Table().Weights()
-		// The step barrier moved the last step's sequences to the previous
-		// side. Sampling picks them by index, so with a large budget a
-		// reordered buffer yields a different sample.
-		r.sampled = sys.Buffer.SampleBatch(1<<16, rand.New(rand.NewSource(5)))
+		if sys.Eagle != nil {
+			r.weights = sys.Eagle.Table().Weights()
+			// The step barrier moved the last step's sequences to the
+			// previous side. Sampling picks them by index, so with a large
+			// budget a reordered buffer yields a different sample.
+			r.sampled = sys.Buffer.SampleBatch(1<<16, rand.New(rand.NewSource(5)))
+		}
+		if sys.NGram != nil {
+			r.ngramSize = sys.NGram.Size()
+		}
 		return r
 	}
-	one, four := run(1), run(4)
-	for i := range one.sums {
-		if one.sums[i] != four.sums[i] {
-			t.Fatalf("step %d stats checksum differs: %x at GOMAXPROCS=1, %x at 4", i+1, one.sums[i], four.sums[i])
-		}
-	}
-	for i, w := range one.weights {
-		if math.Float32bits(w) != math.Float32bits(four.weights[i]) {
-			t.Fatalf("drafter weight %d differs: %g vs %g", i, w, four.weights[i])
-		}
-	}
-	if len(one.sampled) == 0 || len(one.sampled) != len(four.sampled) {
-		t.Fatalf("sampled %d vs %d buffer sequences", len(one.sampled), len(four.sampled))
-	}
-	for i := range one.sampled {
-		a, b := one.sampled[i].Examples, four.sampled[i].Examples
-		if len(a) != len(b) {
-			t.Fatalf("sequence %d: %d vs %d examples", i, len(a), len(b))
-		}
-		for j := range a {
-			if !reflect.DeepEqual(a[j], b[j]) {
-				t.Fatalf("sequence %d example %d differs", i, j)
+	for _, kind := range []Kind{TLT, TLTBase, VeRL, OpenR1} {
+		t.Run(kind.String(), func(t *testing.T) {
+			one, four := run(kind, 1), run(kind, 4)
+			for i := range one.sums {
+				if one.sums[i] != four.sums[i] {
+					t.Fatalf("step %d stats checksum differs: %x at GOMAXPROCS=1, %x at 4", i+1, one.sums[i], four.sums[i])
+				}
 			}
+			if one.ngramSize != four.ngramSize {
+				t.Fatalf("n-gram table size %d vs %d", one.ngramSize, four.ngramSize)
+			}
+			if kind == TLTBase && one.ngramSize == 0 {
+				t.Fatal("n-gram drafter observed nothing")
+			}
+			for i, w := range one.weights {
+				if math.Float32bits(w) != math.Float32bits(four.weights[i]) {
+					t.Fatalf("drafter weight %d differs: %g vs %g", i, w, four.weights[i])
+				}
+			}
+			if kind != TLT {
+				return
+			}
+			if len(one.sampled) == 0 || len(one.sampled) != len(four.sampled) {
+				t.Fatalf("sampled %d vs %d buffer sequences", len(one.sampled), len(four.sampled))
+			}
+			for i := range one.sampled {
+				a, b := one.sampled[i].Examples, four.sampled[i].Examples
+				if len(a) != len(b) {
+					t.Fatalf("sequence %d: %d vs %d examples", i, len(a), len(b))
+				}
+				for j := range a {
+					if !reflect.DeepEqual(a[j], b[j]) {
+						t.Fatalf("sequence %d example %d differs", i, j)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestStepReleasesGoroutines: a step's per-worker engines, their
+// speculation pipelines and the spot-training goroutine must all be gone
+// when Step returns, so repeated steps do not accumulate goroutines (or
+// the engines those goroutines pin).
+func TestStepReleasesGoroutines(t *testing.T) {
+	// GOMAXPROCS > 1 turns the speculation pipeline on.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sys, err := New(smallConfig(TLT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.WarmUpDrafter(10, 1)
+	base := runtime.NumGoroutine()
+	var spotBatches int
+	for i := 0; i < 3; i++ {
+		st, err := sys.Step()
+		if err != nil {
+			t.Fatal(err)
 		}
+		spotBatches += st.SpotBatches
+	}
+	if spotBatches == 0 {
+		t.Fatal("no spot training ran; the test would not cover its goroutine")
+	}
+	// A goroutine that has signalled its exit may still be unwinding.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 3 steps, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

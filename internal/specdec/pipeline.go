@@ -3,6 +3,7 @@ package specdec
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 
 	"fastrl/internal/draft"
 	"fastrl/internal/model"
@@ -26,16 +27,18 @@ type pipeMsg struct {
 // the caller's goroutine drafts, a scoring worker runs each tree's
 // grouped target pass with the engine's second model.Scratch (the double
 // buffer), and a verify worker walks scored trees strictly in sequence
-// order (it owns the round's RNG draws). Workers are started once per
-// engine and park on their inbound channel between rounds — steady-state
-// rounds allocate nothing. Round state (the seqs/trees/rngs/out slices)
-// is published before the first send and cleared after the completion
-// signal; every cross-stage access is ordered by a channel happens-before
-// edge. See the package comment for the full safety argument.
+// order (it owns the round's RNG draws). Workers are started on first use
+// and park on their inbound channel between rounds — steady-state rounds
+// allocate nothing — until Close closes workCh; exited counts them out.
+// Round state (the seqs/trees/rngs/out slices) is published before the
+// first send and cleared after the completion signal; every cross-stage
+// access is ordered by a channel happens-before edge. See the package
+// comment for the full safety argument.
 type pipe struct {
 	workCh   chan pipeMsg  // draft -> score
 	scoredCh chan pipeMsg  // score -> verify
 	doneCh   chan struct{} // verify -> caller, once per round
+	exited   sync.WaitGroup
 
 	mscScore *model.Scratch // scoring stage's model scratch (double buffer)
 	sorted   []int          // verify worker's candidate-order scratch
@@ -59,9 +62,9 @@ func (e *Engine) usePipeline(n int) bool {
 
 // pipelineFor returns the engine's pipeline, starting its two stage
 // workers on first use. The workers are part of the engine's scratch:
-// they idle parked on a channel between rounds and live as long as the
-// engine (engines are per-worker and long-lived; a parked goroutine
-// costs a few KB of stack).
+// they idle parked on a channel between rounds until Close stops them.
+// An engine that is dropped without Close leaks both goroutines (and,
+// through them, the engine and its scratch).
 func (e *Engine) pipelineFor() *pipe {
 	sc := e.sc
 	if sc.pipeline == nil {
@@ -72,6 +75,7 @@ func (e *Engine) pipelineFor() *pipe {
 			mscScore: model.NewScratch(),
 		}
 		sc.pipeline = pp
+		pp.exited.Add(2)
 		go e.scoreLoop(pp)
 		go e.verifyLoop(pp)
 	}
@@ -81,6 +85,7 @@ func (e *Engine) pipelineFor() *pipe {
 // scoreLoop is the scoring stage: one grouped target pass per drafted
 // tree, into the tree's private rows, with the stage-owned scratch.
 func (e *Engine) scoreLoop(pp *pipe) {
+	defer pp.exited.Done()
 	for m := range pp.workCh {
 		e.scoreTreeInto(pp.trees[m.idx], pp.seqs[m.idx], pp.mscScore)
 		pp.scoredCh <- m
@@ -92,6 +97,7 @@ func (e *Engine) scoreLoop(pp *pipe) {
 // (the scoring stage forwards in receipt order over a FIFO channel), so
 // RNG draws happen in exactly the serial loop's order.
 func (e *Engine) verifyLoop(pp *pipe) {
+	defer pp.exited.Done()
 	for m := range pp.scoredCh {
 		t := pp.trees[m.idx]
 		e.verifyTreeRows(t, t.rows, &pp.sorted, pp.seqs[m.idx].EosID, pp.rngs[m.idx], &pp.out[m.idx])
@@ -99,6 +105,20 @@ func (e *Engine) verifyLoop(pp *pipe) {
 			pp.doneCh <- struct{}{}
 		}
 	}
+}
+
+// Close stops the pipeline's stage workers and waits for them to exit.
+// It must not run concurrently with a round. It is idempotent and a no-op
+// on an engine that never pipelined; a later pipelined round starts a
+// fresh pipeline, so a closed engine stays usable.
+func (e *Engine) Close() {
+	if e.sc == nil || e.sc.pipeline == nil {
+		return
+	}
+	pp := e.sc.pipeline
+	e.sc.pipeline = nil
+	close(pp.workCh)
+	pp.exited.Wait()
 }
 
 // stepBatchPipelined is StepBatch's overlapped body: drafting sequence

@@ -2,8 +2,10 @@ package specdec
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // forceGOMAXPROCS pins the scheduler width for the duration of one test
@@ -199,5 +201,78 @@ func TestStepBatchPipelinedSteadyStateAllocs(t *testing.T) {
 	// and late high-water ratchets without masking any genuine leak.
 	if perOp >= 1 {
 		t.Errorf("pipelined steady-state StepBatch allocates %.2f objects/round, want ~0", perOp)
+	}
+}
+
+// waitGoroutines polls until the process runs at most want goroutines; a
+// stage worker that has signalled its exit may still be unwinding.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want at most %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCloseStopsPipeline pins the engine's Close: it stops both stage
+// workers, is safe to call twice, is a no-op on an engine that never
+// pipelined, and leaves later rounds bit-identical to the serial reference
+// (the next pipelined round restarts the workers).
+func TestCloseStopsPipeline(t *testing.T) {
+	lm, e, tk := newSetup(t)
+	forceGOMAXPROCS(t, 2)
+
+	var never Engine
+	never.Close()
+	idle := &Engine{Target: lm, Temp: 0.9}
+	idle.Step(e, testPrompt(tk, rand.New(rand.NewSource(1))), 5, Params{DraftDepth: 4, TopK: 2, TokensToVerify: 8}, rand.New(rand.NewSource(2)))
+	if idle.sc == nil || idle.sc.pipeline != nil {
+		t.Fatal("single-sequence round should leave scratch but no pipeline")
+	}
+	idle.Close()
+
+	metaRng := rand.New(rand.NewSource(97))
+	p := Params{DraftDepth: 5, TopK: 4, TokensToVerify: 16}
+	const n = 4
+	seqsA := make([]Seq, n)
+	seqsB := make([]Seq, n)
+	rngsA := make([]*rand.Rand, n)
+	rngsB := make([]*rand.Rand, n)
+	for i := 0; i < n; i++ {
+		toks := testPrompt(tk, metaRng)
+		seqsA[i] = Seq{Tokens: toks, PromptLen: len(toks), EosID: -1}
+		seqsB[i] = Seq{Tokens: append([]int(nil), toks...), PromptLen: len(toks), EosID: -1}
+		rngsA[i] = rand.New(rand.NewSource(int64(400 + i)))
+		rngsB[i] = rand.New(rand.NewSource(int64(400 + i)))
+	}
+	outA := make([]Result, n)
+	outB := make([]Result, n)
+	closed := &Engine{Target: lm, Temp: 0.9}
+	serial := &Engine{Target: lm, Temp: 0.9}
+
+	base := runtime.NumGoroutine()
+	for round := 0; round < 4; round++ {
+		closed.StepBatch(e, seqsA, p, rngsA, outA)
+		if got := runtime.NumGoroutine(); got < base+2 {
+			t.Fatalf("round %d: %d goroutines, want the 2 stage workers above %d", round, got, base)
+		}
+		closed.Close()
+		closed.Close()
+		waitGoroutines(t, base)
+		runtime.GOMAXPROCS(1)
+		serial.StepBatch(e, seqsB, p, rngsB, outB)
+		runtime.GOMAXPROCS(2)
+		for i := 0; i < n; i++ {
+			a, b := &outA[i], &outB[i]
+			if !reflect.DeepEqual(a.Tokens, b.Tokens) || a.AcceptLen != b.AcceptLen || a.Eos != b.Eos ||
+				a.DraftedNodes != b.DraftedNodes || a.VerifiedTokens != b.VerifiedTokens {
+				t.Fatalf("round %d seq %d: closed engine %+v vs serial %+v", round, i, *a, *b)
+			}
+			seqsA[i].Tokens = append(seqsA[i].Tokens, a.Tokens...)
+			seqsB[i].Tokens = append(seqsB[i].Tokens, b.Tokens...)
+		}
 	}
 }

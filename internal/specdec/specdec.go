@@ -233,7 +233,8 @@ type scratch struct {
 	rowArena []float32
 
 	// pipeline is the engine's software pipeline for batched rounds,
-	// created lazily the first time a round qualifies for overlap.
+	// created lazily the first time a round qualifies for overlap and
+	// dropped by Close.
 	pipeline *pipe
 }
 
