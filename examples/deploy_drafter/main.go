@@ -177,8 +177,8 @@ func main() {
 			st.TTFTP50.Round(time.Microsecond), st.ITLP50.Round(time.Microsecond), st.CacheSavedPositions)
 	}
 	// One consistent registry snapshot replaces per-probe stat prints:
-	// per-shard admission counters, outcome counters, cache gauges, and
-	// the latency reservoirs, all read at a single point.
+	// per-shard admission counters, outcome counters and cache gauges,
+	// all read at a single point.
 	fmt.Println("  unified registry snapshot:")
 	for _, line := range strings.Split(strings.TrimRight(cl.Registry().Snapshot().String(), "\n"), "\n") {
 		fmt.Println("    " + line)

@@ -527,7 +527,6 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 			errs[w] = err
 			return
 		}
-		defer eng.Close()
 		wrng := rand.New(rand.NewSource(s.Cfg.Seed ^ int64(s.step)<<20 ^ int64(w)))
 		runs[w] = eng.Run(perWorker[w], wrng)
 	})

@@ -389,12 +389,11 @@ func TestStepParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestStepReleasesGoroutines: a step's per-worker engines, their
-// speculation pipelines and the spot-training goroutine must all be gone
-// when Step returns, so repeated steps do not accumulate goroutines (or
-// the engines those goroutines pin).
+// TestStepReleasesGoroutines: the rollout-worker and harvest fan-outs and
+// the spot-training goroutine must all be gone when Step returns, so
+// repeated steps do not accumulate goroutines (or the state they pin).
 func TestStepReleasesGoroutines(t *testing.T) {
-	// GOMAXPROCS > 1 turns the speculation pipeline on.
+	// GOMAXPROCS > 1 makes the fan-outs run wider than one goroutine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sys, err := New(smallConfig(TLT))
 	if err != nil {

@@ -30,8 +30,10 @@ type PerfEntry struct {
 // PerfSnapshot micro-benchmarks the speculation hot path with
 // testing.Benchmark so cmd/tltbench -json can record the repository's
 // perf trajectory (ns/op and allocs/op) in-tree alongside the per-figure
-// timings. The batched/sequential pair documents the win of batched tree
-// verification; the steady-state entries must stay at 0 allocs/op.
+// timings. The round-tree pair runs the same lazy verifier through Step
+// (the 1-sequence StepBatch) and the StepSequential reference, so the two
+// should stay within noise of each other; the steady-state entries must
+// stay at 0 allocs/op.
 func PerfSnapshot(quick bool) []PerfEntry {
 	b := newBench(gpu.Qwen7B, 7, quick)
 	prompt := b.gen.SampleSeeded(1, 0x99)[0].Prompt
@@ -97,9 +99,9 @@ func PerfSnapshot(quick bool) []PerfEntry {
 		}))
 	}
 	{
-		// Multi-sequence speculation round: 8 sequences drafted and
-		// verified through one grouped batched target pass — the
-		// continuous-batching analogue of specdec/round-tree-batched.
+		// Multi-sequence speculation round: 8 sequences each drafted and
+		// lazily verified in one StepBatch call — the continuous-batching
+		// analogue of specdec/round-tree-batched.
 		const nSeq = 8
 		eng := &specdec.Engine{Target: b.target, Temp: 0.9}
 		rng := rand.New(rand.NewSource(1))

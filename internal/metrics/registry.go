@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// Registry is a named collection of counters, gauges, and reservoirs
+// Registry is a named collection of counters, gauges, and histograms
 // with one consistency guarantee: Snapshot observes no counter-update
 // group half-applied. Writers that must stay mutually consistent (a
 // request's terminal transition incrementing exactly one of several
@@ -22,14 +22,13 @@ import (
 // Update and use the Counter directly; the atomic increment alone keeps
 // "submitted" ahead of any grouped terminal transition that follows it.
 //
-// Gauge and reservoir callbacks run inside Snapshot under the registry
+// Gauge and histogram callbacks run inside Snapshot under the registry
 // lock: they must be lock-ordering leaves — reading atomics, or taking
 // only locks never held around a call back into the registry.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
 	gauges     map[string]func() float64
-	reservoirs map[string]func() *Reservoir
 	histograms map[string]func() *Histogram
 }
 
@@ -38,7 +37,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
 		gauges:     map[string]func() float64{},
-		reservoirs: map[string]func() *Reservoir{},
 		histograms: map[string]func() *Histogram{},
 	}
 }
@@ -66,18 +64,9 @@ func (g *Registry) Gauge(name string, fn func() float64) {
 	g.mu.Unlock()
 }
 
-// ReservoirFunc registers a sample provider. fn must return a snapshot
-// the caller may keep (clone under the owner's lock) and, like a gauge,
-// must not call back into the registry.
-func (g *Registry) ReservoirFunc(name string, fn func() *Reservoir) {
-	g.mu.Lock()
-	g.reservoirs[name] = fn
-	g.mu.Unlock()
-}
-
-// HistogramFunc registers a histogram provider. Like ReservoirFunc, fn
-// must return a snapshot the caller may keep (Clone under the owner's
-// lock) and must not call back into the registry. Returning nil reports
+// HistogramFunc registers a histogram provider. fn must return a
+// snapshot the caller may keep (Clone under the owner's lock) and, like
+// a gauge, must not call back into the registry. Returning nil reports
 // an empty histogram.
 func (g *Registry) HistogramFunc(name string, fn func() *Histogram) {
 	g.mu.Lock()
@@ -94,21 +83,10 @@ func (g *Registry) Update(fn func()) {
 	g.mu.RUnlock()
 }
 
-// ReservoirStats summarises one reservoir at snapshot time.
-type ReservoirStats struct {
-	Seen int     `json:"seen"`
-	Len  int     `json:"len"`
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P999 float64 `json:"p999"`
-	Mean float64 `json:"mean"`
-}
-
 // Snapshot is one consistent reading of every registered instrument.
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters"`
 	Gauges     map[string]float64        `json:"gauges,omitempty"`
-	Reservoirs map[string]ReservoirStats `json:"reservoirs,omitempty"`
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 }
 
@@ -126,25 +104,6 @@ func (g *Registry) Snapshot() Snapshot {
 		s.Gauges = make(map[string]float64, len(g.gauges))
 		for name, fn := range g.gauges {
 			s.Gauges[name] = fn()
-		}
-	}
-	if len(g.reservoirs) > 0 {
-		s.Reservoirs = make(map[string]ReservoirStats, len(g.reservoirs))
-		for name, fn := range g.reservoirs {
-			r := fn()
-			if r == nil {
-				s.Reservoirs[name] = ReservoirStats{}
-				continue
-			}
-			v := r.Values()
-			s.Reservoirs[name] = ReservoirStats{
-				Seen: r.Seen(),
-				Len:  r.Len(),
-				P50:  Percentile(v, 50),
-				P95:  Percentile(v, 95),
-				P999: Percentile(v, 99.9),
-				Mean: Mean(v),
-			}
 		}
 	}
 	if len(g.histograms) > 0 {
@@ -190,16 +149,6 @@ func (s Snapshot) String() string {
 	sort.Strings(names)
 	for _, n := range names {
 		fmt.Fprintf(&b, "%-32s %.4g\n", n, s.Gauges[n])
-	}
-	names = names[:0]
-	for n := range s.Reservoirs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		r := s.Reservoirs[n]
-		fmt.Fprintf(&b, "%-32s p50=%.4g p95=%.4g p99.9=%.4g mean=%.4g n=%d\n",
-			n, r.P50, r.P95, r.P999, r.Mean, r.Seen)
 	}
 	names = names[:0]
 	for n := range s.Histograms {

@@ -79,26 +79,25 @@ func TestSnapshotNeverTearsUpdateGroups(t *testing.T) {
 	}
 }
 
-func TestGaugesAndReservoirs(t *testing.T) {
+func TestGaugesAndHistograms(t *testing.T) {
 	g := NewRegistry()
 	g.Gauge("queue_len", func() float64 { return 7 })
-	res := NewReservoir(64, 1)
-	for i := 1; i <= 10; i++ {
-		res.Add(float64(i))
+	lat := NewHistogram()
+	for i := int64(1); i <= 10; i++ {
+		lat.Record(i, i)
 	}
-	g.ReservoirFunc("latency", func() *Reservoir { return res.Clone() })
-	g.ReservoirFunc("empty", func() *Reservoir { return nil })
+	g.HistogramFunc("latency", func() *Histogram { return lat })
+	g.HistogramFunc("empty", func() *Histogram { return nil })
 
 	s := g.Snapshot()
 	if s.Gauge("queue_len") != 7 {
 		t.Fatalf("gauge = %v, want 7", s.Gauge("queue_len"))
 	}
-	r := s.Reservoirs["latency"]
-	if r.Seen != 10 || r.Len != 10 || r.Mean != 5.5 {
-		t.Fatalf("reservoir stats %+v", r)
+	if h := s.Histogram("latency"); h.N != 10 || h.Mean != 5.5 || h.Min != 1 || h.Max != 10 {
+		t.Fatalf("histogram stats %+v", h)
 	}
-	if _, ok := s.Reservoirs["empty"]; !ok {
-		t.Fatalf("nil reservoir provider should still appear (zeroed)")
+	if h, ok := s.Histograms["empty"]; !ok || h.N != 0 {
+		t.Fatalf("nil histogram provider should appear zeroed, got %+v (present %v)", h, ok)
 	}
 }
 

@@ -349,11 +349,6 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Batch, error) {
 // Config returns the batch configuration.
 func (b *Batch) Config() Config { return b.cfg }
 
-// Close stops the speculation engine's pipeline workers (see
-// specdec.Engine.Close). Call it when a batch is done; it is idempotent,
-// and a closed batch that steps again restarts the workers lazily.
-func (b *Batch) Close() { b.spec.Close() }
-
 // Selector exposes the MAB tuner (nil when SD disabled).
 func (b *Batch) Selector() *mab.Selector { return b.selector }
 

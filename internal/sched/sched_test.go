@@ -146,7 +146,7 @@ func TestMidFlightAdmission(t *testing.T) {
 		b.Step(rng)
 	}
 	if first.Done {
-		t.Skip("first request finished before mid-flight admission")
+		t.Fatal("first request finished before mid-flight admission")
 	}
 	second := env.poolRequest(1, 1, 30, 12)
 	b.Admit(second)

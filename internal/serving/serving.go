@@ -323,14 +323,14 @@ func (s *Server) replica(id int) {
 	}
 	// A serving step-loop runs indefinitely: per-iteration profiles would
 	// be an unbounded accumulator (the serving layer keeps its own bounded
-	// latency reservoir instead).
+	// latency histograms instead).
 	batch.RecordProfile = false
 	// Shared fallback stream for Batch.Step; never drawn from, since every
 	// admitted request carries its own seeded RNG.
 	rng := rand.New(rand.NewSource(0x5eed ^ int64(id)))
 	// running tracks the jobs inside this replica's batch so each step can
 	// publish their stream progress; samples batches the step's TTFT/ITL
-	// reservoir feeds into one stats-lock acquisition.
+	// histogram records into one stats-lock acquisition.
 	running := make([]*job, 0, s.cfg.MaxBatch)
 	samples := &stepSamples{
 		ttfts: make([]latSample, 0, s.cfg.MaxBatch),
@@ -428,7 +428,7 @@ func (s *Server) replica(id int) {
 		// Publish the step's progress — retiring requests first, so their
 		// final chunk (and its TTFT/ITL bookkeeping) lands before the
 		// terminal event — then fold the step's SLO samples into the
-		// reservoirs before any terminal event wakes a client: a caller
+		// histograms before any terminal event wakes a client: a caller
 		// returning from Wait must find its samples already in Stats.
 		for _, r := range retired {
 			s.publishProgress(r.Tag.(*job), r, now, samples)

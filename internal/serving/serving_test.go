@@ -208,6 +208,10 @@ func TestLoadProbes(t *testing.T) {
 		t.Fatalf("Replicas = %d, want 2", srv.Replicas())
 	}
 	const n = 8
+	// Hang the replicas so no job can finish before the probe reads: on a
+	// loaded host the submitting goroutine can otherwise be descheduled
+	// until every job has drained.
+	srv.Hang()
 	chans := make([]<-chan Response, 0, n)
 	for i := 0; i < n; i++ {
 		task := gen.Pool()[i%len(gen.Pool())]
@@ -221,6 +225,7 @@ func TestLoadProbes(t *testing.T) {
 	if srv.Pending() == 0 {
 		t.Fatal("probes saw no load with 8 outstanding jobs")
 	}
+	srv.Unhang()
 	for _, ch := range chans {
 		<-ch
 	}

@@ -8,7 +8,7 @@ import (
 // TestStepZeroSteadyStateAllocs asserts the allocation-free contract of
 // the speculation hot path: after one warm-up round grows the engine
 // scratch to the strategy's high-water mark, a steady-state round (draft
-// tree + batched verification) performs zero heap allocations.
+// tree + verification) performs zero heap allocations.
 func TestStepZeroSteadyStateAllocs(t *testing.T) {
 	lm, e, tk := newSetup(t)
 	rng := rand.New(rand.NewSource(61))
@@ -31,7 +31,7 @@ func TestStepZeroSteadyStateAllocs(t *testing.T) {
 
 // TestStepSequentialZeroSteadyStateAllocs: the sequential reference path
 // shares the same scratch and must be allocation-free too, so benchmark
-// comparisons between the two isolate the batching effect.
+// comparisons between the two measure only the batch bookkeeping.
 func TestStepSequentialZeroSteadyStateAllocs(t *testing.T) {
 	lm, e, tk := newSetup(t)
 	rng := rand.New(rand.NewSource(62))

@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-// TestStepBatchMatchesStep pins the packing property of the
+// TestStepBatchMatchesStep pins the independence property of the
 // multi-sequence round: StepBatch over N sequences with per-sequence RNGs
 // must emit, for every sequence, exactly the tokens an independent
-// 1-sequence Step emits with the same seed — rows packed across requests
-// score bit-identically to per-request scoring, and verification draws
-// only from the owning sequence's stream. Biases and EOS ids differ per
-// sequence to exercise the grouped scoring path.
+// 1-sequence Step emits with the same seed — each sequence is scored
+// under its own bias and EOS id, and verification draws only from the
+// owning sequence's stream. Biases and EOS ids differ per sequence.
 func TestStepBatchMatchesStep(t *testing.T) {
 	lm, e, tk := newSetup(t)
 	metaRng := rand.New(rand.NewSource(71))
@@ -76,8 +75,8 @@ func TestStepBatchMatchesStep(t *testing.T) {
 
 // TestStepBatchSharedRNGMatchesSequentialSteps pins the trainer-side
 // contract: StepBatch with one shared RNG in every slot reproduces the
-// draw order of sequential per-sequence Step calls exactly (drafting and
-// scoring consume no randomness, verification walks sequences in order).
+// draw order of sequential per-sequence Step calls exactly (drafting
+// consumes no randomness, verification walks sequences in order).
 func TestStepBatchSharedRNGMatchesSequentialSteps(t *testing.T) {
 	lm, e, tk := newSetup(t)
 	metaRng := rand.New(rand.NewSource(73))
@@ -152,8 +151,8 @@ func TestVanillaStepBatchMatchesVanillaStep(t *testing.T) {
 }
 
 // TestStepBatchZeroSteadyStateAllocs pins the allocation-free contract of
-// the multi-sequence hot path: once per-slot trees and the packed row
-// arena have grown to the batch's high-water mark, a steady-state
+// the multi-sequence hot path: once per-slot trees and the verification
+// buffers have grown to the batch's high-water mark, a steady-state
 // StepBatch round allocates nothing.
 func TestStepBatchZeroSteadyStateAllocs(t *testing.T) {
 	lm, e, tk := newSetup(t)

@@ -6,9 +6,8 @@ import (
 )
 
 // BenchmarkSpecRound is the canonical steady-state speculation round
-// (tree drafting + one batched verification pass). Pre-batching baseline
-// (same strategy, per-node Probs calls and per-round allocation):
-// 106215 ns/op, 69204 B/op, 266 allocs/op on the reference machine.
+// through Step: tree drafting, then verification that scores only the
+// positions it visits.
 func BenchmarkSpecRound(b *testing.B) {
 	lm, e, tk := newSetup(b)
 	eng := &Engine{Target: lm, Temp: 0.9, EosID: -1}
@@ -23,8 +22,9 @@ func BenchmarkSpecRound(b *testing.B) {
 	}
 }
 
-// BenchmarkSpecRoundSequential measures the retained pre-batch reference
-// verification over the identical tree, isolating the batching effect.
+// BenchmarkSpecRoundSequential measures the StepSequential reference over
+// the identical tree; it differs from BenchmarkSpecRound only by the
+// StepBatch bookkeeping around the shared verifier.
 func BenchmarkSpecRoundSequential(b *testing.B) {
 	lm, e, tk := newSetup(b)
 	eng := &Engine{Target: lm, Temp: 0.9, EosID: -1}

@@ -1,6 +1,7 @@
 package specdec
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
@@ -148,16 +149,23 @@ func TestVerifyNodeMarginalProperty(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesSequential: batched tree verification (one ProbsBatch
-// pass over all selected nodes up front) must be token-for-token identical
-// to the pre-batch sequential path (one target call per visited position)
-// under fixed seeds, across random strategies, prompts, temperatures and
-// biases — the losslessness-preserving property the batched hot path is
-// allowed to exist under. Two engines are used so each keeps its own
-// scratch; their RNGs start from the same seed each trial.
+// TestBatchedMatchesSequential: Step (the 1-sequence StepBatch) must be
+// token-for-token identical to the StepSequential reference under fixed
+// seeds, across random strategies, prompts, temperatures and biases. Two
+// engines are used so each keeps its own scratch; their RNGs start from
+// the same seed each trial.
+//
+// Both sides share one verifier, so the equality alone cannot catch a
+// change to what that verifier emits. The FNV-64 checksum over every
+// token the lattice emits can: latticeChecksum was recorded from the
+// eager verifier, which scored every kept node in one batched pass
+// before walking the tree, and the lazy verifier must reproduce it.
 func TestBatchedMatchesSequential(t *testing.T) {
+	const latticeChecksum = 0x6e20c58bd17b4ba8
 	lm, e, tk := newSetup(t)
 	metaRng := rand.New(rand.NewSource(51))
+	sum := fnv.New64a()
+	var word [8]byte
 	for trial := 0; trial < 400; trial++ {
 		p := Params{
 			DraftDepth:     1 + metaRng.Intn(10),
@@ -203,12 +211,21 @@ func TestBatchedMatchesSequential(t *testing.T) {
 				br.DraftedNodes != sr.DraftedNodes || br.VerifiedTokens != sr.VerifiedTokens {
 				t.Fatalf("trial %d round %d: result metadata diverged: %+v vs %+v", trial, round, br, sr)
 			}
+			for _, tok := range br.Tokens {
+				for b := range word {
+					word[b] = byte(uint64(tok) >> (8 * b))
+				}
+				sum.Write(word[:])
+			}
 			bSeq = append(bSeq, br.Tokens...)
 			sSeq = append(sSeq, sr.Tokens...)
 			if br.Eos {
 				break
 			}
 		}
+	}
+	if got := sum.Sum64(); got != latticeChecksum {
+		t.Fatalf("lattice token checksum %#x, want %#x", got, uint64(latticeChecksum))
 	}
 }
 

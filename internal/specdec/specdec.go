@@ -19,45 +19,16 @@
 // The speculation round is the hottest path in the system: an Engine owns
 // reusable scratch (draft/verify buffers, per-sequence tree arenas,
 // frontier and context slices) so a steady-state round allocates nothing.
-// StepBatch is the primary entry: it drafts one tree per sequence and
-// scores every kept node of every tree in a single model.ProbsBatchGrouped
-// pass — the iteration-level scheduler packs all decoding requests of one
-// step through it. Step is the 1-sequence case. StepSequential retains the
-// per-position reference path; property tests assert all paths emit
-// identical token streams for identical seeds.
-//
-// # Software-pipelined rounds
-//
-// With more than one CPU available (GOMAXPROCS > 1) and at least two
-// sequences in a batched round, StepBatch software-pipelines the round:
-// while the caller's goroutine drafts sequence i+1's tree, a scoring
-// worker runs sequence i's batched target pass and a verification worker
-// walks the already-scored trees — the double-buffered-load shape of a
-// pipelined GPU kernel, applied to the three stages of a speculation
-// round. The overlap is race-free by construction:
-//
-//   - Drafting touches only the drafter, the engine's draft-side scratch
-//     (one model.Scratch, the frontier/top-k buffers), and the tree being
-//     drafted. It never touches the target rows.
-//   - Scoring owns the second model.Scratch (the double buffer) and
-//     writes only into the handed-off tree's private context arena and
-//     row arena. The target LM is read-only under scoring (all mutation
-//     funnels through the caller-owned model.Scratch), so it is shared
-//     safely with the drafting stage's root-hidden-state computation.
-//   - Verification consumes randomness — so the verify worker processes
-//     trees strictly in sequence order, drawing from rngs[i] exactly as
-//     the serial loop does. Draw order, and therefore every emitted
-//     token, is bit-identical to the serial path (which in turn matches
-//     per-request sequential stepping; the equivalence tests pin all
-//     three). Each stage hands its tree to the next over a channel, so
-//     every cross-stage access is ordered by a happens-before edge.
-//
-// Any future drafter must preserve the first invariant: Probs/ProbsBuf
-// may read and mutate only drafter-owned state plus the scratch passed
-// in, never the target model or engine verification state, and drafting
-// must stay deterministic (consume no randomness). Break either and the
-// overlap stops being race-free/bit-identical; the pipelined equivalence
-// tests (and the -race CI job) are the tripwire.
+// StepBatch is the primary entry: the iteration-level scheduler packs all
+// decoding requests of one step through it. It drafts each sequence's
+// tree and then verifies it lazily, scoring only the positions the
+// verification walk visits (the root position, then one per accepted
+// node) with one target call each under the sequence's own bias. A GPU
+// verifies the whole kept tree in one batched forward; the virtual clock
+// charges that cost through Result.VerifiedTokens, so the CPU computes
+// only what verification consumes. Step is the 1-sequence case of
+// StepBatch and StepSequential the single-sequence reference; property
+// tests assert they emit identical token streams for identical seeds.
 package specdec
 
 import (
@@ -116,8 +87,10 @@ type Result struct {
 	// FrontierPerDepth records the tree frontier width at each drafting
 	// depth, for drafting cost accounting.
 	FrontierPerDepth []int
-	// VerifiedTokens is the number of tree nodes the target scored in the
-	// verification pass.
+	// VerifiedTokens is the number of positions a batched verification
+	// forward scores: every kept tree node plus the root position. The
+	// virtual clock charges verification by it; the CPU scores only the
+	// positions the verification walk visits.
 	VerifiedTokens int
 	// Eos reports whether an end-of-sequence token was emitted.
 	Eos bool
@@ -176,38 +149,19 @@ type tree struct {
 	childCount []int
 	childArena []int
 
-	// Batched verification: one context per kept node (+1 for the root
-	// position) materialised into the per-tree arena; rowBase is the
-	// tree's first row in the engine's shared row set and rowOf maps a
-	// kept node index to its row offset from rowBase.
-	ctxArena []int
-	rowOf    []int
-	rowBase  int
-
-	// Pipelined scoring buffers: the pipelined path scores each tree in
-	// its own grouped pass the moment drafting hands it off, so the
-	// contexts, rows and row arena live on the tree (stage-private)
-	// instead of the engine's shared arenas. Row values are bit-identical
-	// either way — scoring zeroes each row before accumulation, so rows
-	// are independent of their batch-mates.
-	ctxs     []model.Context
-	rows     [][]float32
-	rowArena []float32
-	group1   [1]model.RowGroup
-
 	accepted []int // emitted tokens (aliased by Result.Tokens)
 }
 
 // scratch is the engine's reusable working set shared across the
-// sequences of a batched round: transient compute buffers plus the
-// per-sequence-slot trees and the packed scoring arenas.
+// sequences of a batched round: transient compute buffers, the
+// per-sequence-slot trees and the vanilla step's packed scoring arenas.
 type scratch struct {
 	msc    *model.Scratch
 	hidden model.HiddenState // drafting-root hidden state
 	deep   model.HiddenState // rank-free view for deeper draft indices
 
 	qBuf []float32 // draft proposal distribution
-	pBuf []float32 // target row (sequential verification, vanilla step)
+	pBuf []float32 // target row at the position being verified
 
 	frontier, next []int
 	topk           []int
@@ -223,19 +177,12 @@ type scratch struct {
 	// batched call; slots persist so their arenas amortise).
 	trees []*tree
 
-	// Packed scoring across all trees of one batched round: one context
-	// and one probability row per kept node (+1 per tree for the root
-	// position), one RowGroup per sequence, scored in a single
-	// ProbsBatchGrouped pass.
+	// VanillaStepBatch's packed scoring: one context, probability row and
+	// RowGroup per sequence, scored in a single ProbsBatchGrouped pass.
 	ctxs     []model.Context
 	groups   []model.RowGroup
 	rows     [][]float32
 	rowArena []float32
-
-	// pipeline is the engine's software pipeline for batched rounds,
-	// created lazily the first time a round qualifies for overlap and
-	// dropped by Close.
-	pipeline *pipe
 }
 
 func (e *Engine) scratchInit() *scratch {
@@ -268,13 +215,6 @@ func ensureInt(b []int, n int) []int {
 	return b[:n]
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // growthSlack is the per-sequence headroom (in tokens) reserved on top of
 // exact need when a growth-coupled scratch buffer reallocates: sequences
 // lengthen every round, so exact-fit growth would allocate once per round
@@ -296,16 +236,12 @@ func clampParams(p Params) Params {
 }
 
 // StepBatch performs one draft-and-verify round for every sequence under
-// one strategy — the iteration-level unit of continuous batching, where
-// the scheduler packs all decoding requests of a step into a single
-// batched verification forward.
+// one strategy — the iteration-level unit of continuous batching.
 //
-// Drafting runs per sequence against the drafter's current state (one
-// batched draft pass per step, as a real batched drafter forward would),
-// then every kept node of every tree is scored in one
-// model.ProbsBatchGrouped call with per-sequence bias groups, and finally
-// each tree is verified in sequence order drawing from rngs[i]. Because
-// drafting and scoring consume no randomness, a shared rng in every slot
+// Sequences are processed in order: each drafts its tree against the
+// drafter's current state, then verifies it lazily (see verifyTree),
+// drawing from rngs[i]. Drafting consumes no randomness and every target
+// row depends only on its own sequence, so a shared rng in every slot
 // reproduces the draw order of sequential per-request Step calls exactly,
 // and per-sequence rngs make each sequence's stream independent of batch
 // composition (frozen drafters) — the property the scheduler's
@@ -321,19 +257,11 @@ func (e *Engine) StepBatch(d draft.Drafter, seqs []Seq, p Params, rngs []*rand.R
 		return
 	}
 	p = clampParams(p)
-	sc := e.scratchInit()
-	trees := sc.treesFor(len(seqs))
-	if e.usePipeline(len(seqs)) {
-		e.stepBatchPipelined(d, seqs, p, rngs, out, trees)
-		return
-	}
+	trees := e.scratchInit().treesFor(len(seqs))
 	for i := range seqs {
 		out[i] = Result{}
-		e.draftTreeInto(trees[i], d, seqs[i].Tokens, seqs[i].PromptLen, seqs[i].Bias, p, &out[i])
-	}
-	e.scoreTrees(seqs, trees)
-	for i := range seqs {
-		e.verifyTree(trees[i], seqs[i].EosID, rngs[i], &out[i])
+		e.draftTreeInto(trees[i], d, seqs[i], p, &out[i])
+		e.verifyTree(trees[i], seqs[i], rngs[i], &out[i])
 	}
 }
 
@@ -348,27 +276,25 @@ func (e *Engine) Step(d draft.Drafter, tokens []int, promptLen int, p Params, rn
 	return e.out1[0]
 }
 
-// StepSequential is the pre-batching reference path: it drafts the
-// identical tree but scores tree positions with one sequential target call
-// each, lazily along the accepted path. It is retained as the baseline
-// that property tests compare batched verification against (identical
-// seeds must emit identical token streams) and as a benchmark reference.
+// StepSequential is the single-sequence reference round: draft, then
+// verify, with the engine-level Bias/EosID and no batch bookkeeping.
+// Property tests compare StepBatch against it (identical seeds must emit
+// identical token streams), and it is a benchmark reference.
 func (e *Engine) StepSequential(d draft.Drafter, tokens []int, promptLen int, p Params, rng *rand.Rand) Result {
 	p = clampParams(p)
-	sc := e.scratchInit()
-	t := sc.treesFor(1)[0]
+	t := e.scratchInit().treesFor(1)[0]
+	seq := Seq{Tokens: tokens, PromptLen: promptLen, Bias: e.Bias, EosID: e.EosID}
 	var res Result
-	e.draftTreeInto(t, d, tokens, promptLen, e.Bias, p, &res)
-	e.verifySequential(t, &res, tokens, promptLen, rng)
+	e.draftTreeInto(t, d, seq, p, &res)
+	e.verifyTree(t, seq, rng, &res)
 	return res
 }
 
 // draftTreeInto runs the drafting stage and ancestry-closed candidate
-// selection for one sequence into its tree. Both verification paths
-// consume the tree it leaves behind, so they are guaranteed to see
-// identical candidates.
-func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, tokens []int, promptLen int, bias map[int]float32, p Params, res *Result) {
+// selection for one sequence into its tree, which verifyTree then walks.
+func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, s Seq, p Params, res *Result) {
 	sc := e.sc
+	tokens, promptLen, bias := s.Tokens, s.PromptLen, s.Bias
 	vocab := e.Target.Config().Vocab
 	rootCtx := model.Context{Tokens: tokens, PromptLen: promptLen}
 	// Two fused sketches cover both Eagle (1) and Eagle-3 (2) inputs.
@@ -491,161 +417,30 @@ func (t *tree) childrenOf(ni int) []int {
 	return t.childArena[s : s+t.childCount[ni]]
 }
 
-// scoreTrees materialises the context of the root position and of every
-// kept node of every tree, and scores them all in one grouped batched
-// target pass — the single verification forward the virtual-clock cost
-// model charges per step, now shared across every sequence of the batch
-// instead of one pass per request. Each sequence's rows form one RowGroup
-// carrying its logit bias, so the packed pass emits bit-identical rows to
-// per-sequence scoring.
-func (e *Engine) scoreTrees(seqs []Seq, trees []*tree) {
+// verifyTree walks one drafted tree performing chain-rule rejection
+// sampling, scoring lazily: one target call per visited position (the
+// root position, then each accepted node's), with the sequence's own bias.
+// The kept nodes the walk never reaches are not scored on the CPU; their
+// cost is charged in virtual time through Result.VerifiedTokens.
+func (e *Engine) verifyTree(t *tree, s Seq, rng *rand.Rand, res *Result) {
 	sc := e.sc
-	vocab := e.Target.Config().Vocab
-
-	total := 0
-	for _, t := range trees {
-		t.rowBase = total
-		total += len(t.keep) + 1
-	}
-	sc.rowArena = ensureF32(sc.rowArena, total*vocab)
-	sc.rows = sc.rows[:0]
-	for r := 0; r < total; r++ {
-		sc.rows = append(sc.rows, sc.rowArena[r*vocab:(r+1)*vocab])
-	}
-
-	sc.ctxs = sc.ctxs[:0]
-	sc.groups = sc.groups[:0]
-	for i, t := range trees {
-		sc.ctxs = buildScoreCtxs(t, seqs[i], sc.ctxs)
-		sc.groups = append(sc.groups, model.RowGroup{N: len(t.keep) + 1, Bias: seqs[i].Bias})
-	}
-
-	e.Target.ProbsBatchGrouped(sc.ctxs, sc.groups, e.Temp, sc.rows, sc.msc)
-}
-
-// buildScoreCtxs appends the root-position context and one context per
-// kept node of the tree to dst (filling t.rowOf with each node's row
-// offset from the tree's first row) and returns the extended slice. Both
-// scoring paths — the serial whole-batch pass and the pipelined per-tree
-// pass — materialise their contexts through this one function, so they
-// score identical inputs.
-func buildScoreCtxs(t *tree, seq Seq, dst []model.Context) []model.Context {
-	tokens := seq.Tokens
-	promptLen := seq.PromptLen
-	L := len(tokens)
-	arenaNeed := 0
-	for _, ni := range t.keep {
-		arenaNeed += L + t.nodes[ni].depth
-	}
-	// Context lengths grow with the sequence every round; headroom
-	// keeps the arena from reallocating once per round (see seqBuf).
-	if cap(t.ctxArena) < arenaNeed {
-		t.ctxArena = make([]int, arenaNeed+growthSlack*(len(t.keep)+1))
-	}
-	t.ctxArena = t.ctxArena[:arenaNeed]
-	dst = append(dst, model.Context{Tokens: t.seqBuf[:L], PromptLen: promptLen})
-	t.rowOf = ensureInt(t.rowOf, len(t.nodes))
-	off := 0
-	for j, ni := range t.keep {
-		end := off + L + t.nodes[ni].depth
-		seg := t.ctxArena[off:end]
-		copy(seg, tokens)
-		for k := ni; k >= 0; k = t.nodes[k].parent {
-			seg[L+t.nodes[k].depth-1] = t.nodes[k].tok
-		}
-		dst = append(dst, model.Context{Tokens: seg, PromptLen: promptLen})
-		t.rowOf[ni] = j + 1
-		off = end
-	}
-	return dst
-}
-
-// scoreTreeInto scores one tree's kept nodes in a single grouped pass
-// into the tree's private row arena — the pipelined path's scoring
-// stage, running on the scoring worker with the engine's second
-// model.Scratch. scoreInto zeroes each row before accumulating, so
-// per-tree passes emit exactly the float32 values the whole-batch pass
-// produces for the same tree.
-func (e *Engine) scoreTreeInto(t *tree, seq Seq, msc *model.Scratch) {
-	vocab := e.Target.Config().Vocab
-	total := len(t.keep) + 1
-	t.rowArena = ensureF32(t.rowArena, total*vocab)
-	t.rows = t.rows[:0]
-	for r := 0; r < total; r++ {
-		t.rows = append(t.rows, t.rowArena[r*vocab:(r+1)*vocab])
-	}
-	t.ctxs = buildScoreCtxs(t, seq, t.ctxs[:0])
-	t.group1[0] = model.RowGroup{N: total, Bias: seq.Bias}
-	e.Target.ProbsBatchGrouped(t.ctxs, t.group1[:], e.Temp, t.rows, msc)
-	t.rowBase = 0
-}
-
-// verifyTree walks one selected tree performing chain-rule rejection
-// sampling against its pre-scored rows in the engine's shared row set.
-// It draws from the RNG in exactly the order verifySequential does, so
-// both paths emit identical tokens for identical seeds.
-func (e *Engine) verifyTree(t *tree, eosID int, rng *rand.Rand, res *Result) {
-	sc := e.sc
-	e.verifyTreeRows(t, sc.rows[t.rowBase:], &sc.sorted, eosID, rng, res)
-}
-
-// verifyTreeRows is the verification walk over an explicit row set
-// (rows[0] is the root position, rows[t.rowOf[n]] node n's position) and
-// caller-owned sort scratch — shared by the serial path (engine rows,
-// engine scratch) and the pipelined path (tree-private rows, the verify
-// worker's scratch).
-func (e *Engine) verifyTreeRows(t *tree, rows [][]float32, sortBuf *[]int, eosID int, rng *rand.Rand, res *Result) {
+	sc.pBuf = ensureF32(sc.pBuf, e.Target.Config().Vocab)
 	t.accepted = t.accepted[:0]
-	candidates := t.roots
-	row := rows[0]
-	for {
-		chosen, corrective := verifyNodeBuf(row, t.nodes, candidates, sortBuf, rng)
-		if chosen < 0 {
-			t.accepted = append(t.accepted, corrective)
-			res.Eos = eosID >= 0 && corrective == eosID
-			break
-		}
-		t.accepted = append(t.accepted, t.nodes[chosen].tok)
-		res.AcceptLen++
-		if eosID >= 0 && t.nodes[chosen].tok == eosID {
-			res.Eos = true
-			break
-		}
-		row = rows[t.rowOf[chosen]]
-		candidates = t.childrenOf(chosen)
-		if len(candidates) == 0 {
-			// Deepest accepted node: sample the bonus token from the
-			// (already scored) target distribution at the new context.
-			bonus := model.SampleProbs(row, rng)
-			t.accepted = append(t.accepted, bonus)
-			res.Eos = eosID >= 0 && bonus == eosID
-			break
-		}
-	}
-	res.Tokens = t.accepted
-}
-
-// verifySequential is the reference verification: one target call per
-// visited tree position, computed lazily along the accepted path.
-func (e *Engine) verifySequential(t *tree, res *Result, tokens []int, promptLen int, rng *rand.Rand) {
-	sc := e.sc
-	vocab := e.Target.Config().Vocab
-	sc.pBuf = ensureF32(sc.pBuf, vocab)
-	t.accepted = t.accepted[:0]
-	ctx := t.seqBuf[:len(tokens)]
+	ctx := t.seqBuf[:len(s.Tokens)]
 	candidates := t.roots
 	for {
-		e.Target.ProbsScratch(model.Context{Tokens: ctx, PromptLen: promptLen}, e.Bias, e.Temp, sc.pBuf, sc.msc)
+		e.Target.ProbsScratch(model.Context{Tokens: ctx, PromptLen: s.PromptLen}, s.Bias, e.Temp, sc.pBuf, sc.msc)
 		chosen, corrective := verifyNodeBuf(sc.pBuf, t.nodes, candidates, &sc.sorted, rng)
 		if chosen < 0 {
 			t.accepted = append(t.accepted, corrective)
-			res.Eos = e.EosID >= 0 && corrective == e.EosID
+			res.Eos = s.EosID >= 0 && corrective == s.EosID
 			break
 		}
-		t.accepted = append(t.accepted, t.nodes[chosen].tok)
-		ctx = append(ctx, t.nodes[chosen].tok)
+		tok := t.nodes[chosen].tok
+		t.accepted = append(t.accepted, tok)
+		ctx = append(ctx, tok)
 		res.AcceptLen++
-		if e.EosID >= 0 && t.nodes[chosen].tok == e.EosID {
+		if s.EosID >= 0 && tok == s.EosID {
 			res.Eos = true
 			break
 		}
@@ -653,10 +448,10 @@ func (e *Engine) verifySequential(t *tree, res *Result, tokens []int, promptLen 
 		if len(candidates) == 0 {
 			// Deepest accepted node: sample the bonus token from the
 			// target distribution at the new context.
-			e.Target.ProbsScratch(model.Context{Tokens: ctx, PromptLen: promptLen}, e.Bias, e.Temp, sc.pBuf, sc.msc)
+			e.Target.ProbsScratch(model.Context{Tokens: ctx, PromptLen: s.PromptLen}, s.Bias, e.Temp, sc.pBuf, sc.msc)
 			bonus := model.SampleProbs(sc.pBuf, rng)
 			t.accepted = append(t.accepted, bonus)
-			res.Eos = e.EosID >= 0 && bonus == e.EosID
+			res.Eos = s.EosID >= 0 && bonus == s.EosID
 			break
 		}
 	}
@@ -723,7 +518,7 @@ func (e *Engine) pathContext(tokens []int, nodes []node, ni int, buf []int) []in
 
 // sortByPathProb orders node indices by descending path probability with
 // an ascending-index tie-break — a deterministic total order, so every
-// caller (and both verification paths) builds the identical tree.
+// caller builds the identical tree.
 // Insertion sort: the slices are small (at most the beam width or node
 // count) and this avoids the interface boxing of sort.Slice.
 func sortByPathProb(idx []int, nodes []node) {
